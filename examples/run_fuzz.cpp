@@ -9,13 +9,14 @@
  *   run_fuzz --corpus=FILE [--cache-dir=DIR] [--no-cache] [--quiet]
  *
  * Fuzz mode derives N (spec, config) scenarios from the root seed and
- * runs each under the four oracles (self-check, release-flag
- * soundness, event-vs-naive cycle loop, sequential-vs-parallel
- * multi-SM loop); every --mutate-every'th scenario additionally
- * injects a single-bit release-flag fault into the compiled program
- * and asserts the static verifier catches it.  Failures are shrunk by
- * the delta-debugging minimizer and printed as regression-corpus
- * lines (appended to --save when given).  Exit 1 on any failure.
+ * runs each under the three oracles (self-check, release-flag
+ * soundness, event-vs-naive cycle loop); every --mutate-every'th
+ * scenario additionally injects a single-bit release-flag fault into
+ * the compiled program and asserts the static verifier catches it.
+ * --jobs=N runs N scenario threads, the caller included (default 1).
+ * Failures are shrunk by the delta-debugging minimizer and printed as
+ * regression-corpus lines (appended to --save when given).  Exit 1 on
+ * any failure.
  *
  * Corpus mode replays a committed corpus file: `pass` entries must
  * pass every oracle, `caught` entries' injected faults must still be

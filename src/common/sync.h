@@ -5,9 +5,9 @@
  * `std::shared_mutex`, `std::condition_variable` or `std::thread`
  * (enforced by tools/lint/concurrency_lint.py).
  *
- * Every lock in the concurrent core (ThreadPool, WorkStealingPool,
- * ResultCache, ArtifactStore, SimdServer) is one of these wrappers,
- * and every field a lock guards is annotated with RFV_GUARDED_BY.
+ * Every lock in the concurrent core (WorkStealingPool, ResultCache,
+ * ArtifactStore, SimdServer) is one of these wrappers, and every
+ * field a lock guards is annotated with RFV_GUARDED_BY.
  * Under Clang, `-Wthread-safety -Wthread-safety-beta` (promoted to
  * errors by the RFV_THREAD_SAFETY CMake option and the thread-safety
  * CI job) then *proves* the lock discipline at compile time: an
@@ -26,18 +26,17 @@
  *    can never leak a held lock.  (The linter independently forbids
  *    manual .lock()/.unlock() calls outside this header.)
  *
- *  - Condition waits that inspect RFV_GUARDED_BY state use the
- *    plain `wait(MutexLock &)` overload inside a while-loop in the
- *    *caller*, where the analysis can see the capability is held:
+ *  - Condition waits use the plain `wait(MutexLock &)` overload
+ *    inside a while-loop in the *caller*, where the analysis can see
+ *    the capability is held:
  *
  *        MutexLock lk(mu_);
  *        while (queue_.empty() && !stop_)
  *            cv_.wait(lk);
  *
- *    The predicate overload `wait(lk, pred)` exists for predicates
- *    over atomics only: Clang analyzes a lambda body as its own
- *    function, so a lambda touching guarded fields would warn even
- *    though the wait holds the lock.
+ *    There is no predicate overload: Clang analyzes a lambda body as
+ *    its own function, so a lambda touching guarded fields would warn
+ *    even though the wait holds the lock.
  *
  *  - Threads are rfv::Thread: join-on-destroy (never std::terminate,
  *    never a detach — detaching is also linter-forbidden), move-only,
@@ -119,14 +118,6 @@
 
 /** Function returns a reference to the named capability. */
 #define RFV_RETURN_CAPABILITY(x) RFV_THREAD_ANNOTATION(lock_returned(x))
-
-/**
- * Escape hatch for protocols the analysis cannot express (e.g. the
- * ThreadPool generation handshake).  Every use must carry a comment
- * explaining the manual proof.
- */
-#define RFV_NO_THREAD_SAFETY_ANALYSIS                                     \
-    RFV_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace rfv {
 
@@ -213,8 +204,8 @@ class RFV_SCOPED_CAPABILITY WriterLock {
 /**
  * Condition variable bound to Mutex/MutexLock.
  *
- * Guarded-state predicates belong in a while-loop at the call site
- * (see the header comment); the predicate overloads are for atomics.
+ * Predicates belong in a while-loop at the call site (see the header
+ * comment).
  */
 class CondVar {
   public:
@@ -228,29 +219,12 @@ class CondVar {
     /** One wakeup; caller re-checks its predicate in a while-loop. */
     void wait(MutexLock &lk) { cv_.wait(lk.lk_); }
 
-    /** Predicate wait — for predicates over atomics ONLY (see above). */
-    template <typename Pred>
-    void
-    wait(MutexLock &lk, Pred pred)
-    {
-        cv_.wait(lk.lk_, std::move(pred));
-    }
-
     /** Timed single wakeup; true = notified, false = timed out. */
     template <typename Rep, typename Period>
     bool
     waitFor(MutexLock &lk, const std::chrono::duration<Rep, Period> &d)
     {
         return cv_.wait_for(lk.lk_, d) == std::cv_status::no_timeout;
-    }
-
-    /** Timed predicate wait — predicates over atomics ONLY. */
-    template <typename Rep, typename Period, typename Pred>
-    bool
-    waitFor(MutexLock &lk, const std::chrono::duration<Rep, Period> &d,
-            Pred pred)
-    {
-        return cv_.wait_for(lk.lk_, d, std::move(pred));
     }
 
   private:

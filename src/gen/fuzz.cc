@@ -36,7 +36,7 @@ paletteConfig(u32 pick)
 }
 
 /**
- * Bit-identity comparison for the differential oracles.  LoopStats is
+ * Bit-identity comparison for the diff-loop oracle.  LoopStats is
  * deliberately excluded: the event-driven loop *accounts* cycles
  * differently from the naive loop (skipped vs stepped) while producing
  * the same architectural results — which is exactly the equivalence
@@ -183,16 +183,6 @@ runOracle(SweepEngine &engine, const GenSpec &spec,
                                "disagree (sim/energy/compile)");
         return std::nullopt;
       }
-      case FuzzOracle::kDiffThreads: {
-        SweepJob par = job;
-        par.config.numWorkerThreads = 3;
-        const RunOutcome a = engine.executeLive(engine.prepare(job));
-        const RunOutcome b = engine.executeLive(engine.prepare(par));
-        if (!equivalentOutcomes(a, b))
-            return std::string("sequential and parallel multi-SM "
-                               "loops disagree (sim/energy/compile)");
-        return std::nullopt;
-      }
       case FuzzOracle::kMutation: {
         std::string detail;
         const MutationVerdict v = judgeMutation(
@@ -226,7 +216,6 @@ fuzzOracleName(FuzzOracle o)
       case FuzzOracle::kSelfCheck: return "selfcheck";
       case FuzzOracle::kSoundness: return "soundness";
       case FuzzOracle::kDiffLoop: return "diff-loop";
-      case FuzzOracle::kDiffThreads: return "diff-threads";
       case FuzzOracle::kMutation: return "mutation";
     }
     return "?";
@@ -282,7 +271,6 @@ checkScenario(SweepEngine &engine, const FuzzScenario &sc,
         FuzzOracle::kSelfCheck,
         FuzzOracle::kSoundness,
         FuzzOracle::kDiffLoop,
-        FuzzOracle::kDiffThreads,
     };
     for (FuzzOracle o : oracles) {
         if (o == FuzzOracle::kSoundness && !sc.config.verifyReleases)
@@ -337,9 +325,9 @@ runFuzz(const FuzzOptions &opts)
 
     Mutex mu;
     FuzzReport shared; // counters + failures merged under mu
-    ThreadPool pool(opts.jobs > 1 ? opts.jobs : 0);
-    pool.parallelFor(
-        static_cast<u32>(opts.scenarios), [&](u32 i) {
+    WorkStealingPool pool(opts.jobs);
+    pool.run(
+        static_cast<u32>(opts.scenarios), [&](u32 i, u32) {
             const FuzzScenario sc =
                 deriveScenario(opts.seed, i, opts.mutateEvery);
             FuzzReport local;

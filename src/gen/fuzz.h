@@ -3,7 +3,7 @@
  * Differential fuzz driver over generated kernels.
  *
  * Each *scenario* is a (GenSpec, RunConfig) pair derived from a root
- * seed through SeedSeq child streams, executed under four oracles:
+ * seed through SeedSeq child streams, executed under three oracles:
  *
  *   1. self-check   — the generated kernel's output image matches the
  *                     host reference (GenWorkload::verify, exercised
@@ -13,8 +13,6 @@
  *                     errors on the virtualized compilation
  *   3. diff-loop    — the event-driven and naive cycle loops produce
  *                     bit-identical results (sim/energy/compile)
- *   4. diff-threads — the sequential and parallel multi-SM loops
- *                     produce bit-identical results
  *
  * Scenarios can additionally *inject* a release-flag fault
  * (applyReleaseMutation on the compiled program) and assert the
@@ -40,12 +38,11 @@
 
 namespace rfv {
 
-/** The four scenario oracles plus the fault-injection meta-oracle. */
+/** The three scenario oracles plus the fault-injection meta-oracle. */
 enum class FuzzOracle : u8 {
     kSelfCheck,
     kSoundness,
     kDiffLoop,
-    kDiffThreads,
     kMutation, //!< injected fault: detected, benign, or SILENT (fail)
 };
 
@@ -72,7 +69,8 @@ struct FuzzFailure {
 struct FuzzOptions {
     u64 seed = 1;        //!< root of all scenario derivation
     u64 scenarios = 100;
-    u32 jobs = 1;        //!< scenario-level worker threads
+    /** Scenario threads, the calling thread included (0 acts as 1). */
+    u32 jobs = 1;
     std::string cacheDir; //!< self-check oracle cache ("" = memory only)
     bool useCache = true;
     /** Every Nth scenario injects a release-flag fault (0 = never). */

@@ -57,9 +57,9 @@ ArtifactStore::decode(const std::shared_ptr<const CompiledArtifact> &ck,
     Hasher h;
     h.u64v(ck->programHash.hi);
     h.u64v(ck->programHash.lo);
-    // addGpuConfig already canonicalizes the decode-irrelevant knobs
-    // (eventDriven, numWorkerThreads, checkSmOverlap), so the naive
-    // and event-driven loops share one DecodeCache.
+    // addGpuConfig already canonicalizes the decode-irrelevant
+    // eventDriven knob, so the naive and event-driven loops share one
+    // DecodeCache.
     addGpuConfig(h, gpu);
     return decodes_.getOrBuild(
         h.digest().hex(),

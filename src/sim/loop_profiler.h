@@ -9,8 +9,7 @@
  * execution + timing), commit (post-issue normalization, sampling,
  * atomic commit) — so a speedup claim about the hot loop can say
  * *which* phase got faster instead of quoting one aggregate number.
- * Profiles are per-Sm (no sharing, no locks; one thread steps an SM)
- * and summed by Gpu::run() after the worker threads have joined.
+ * Profiles are per-Sm and summed by Gpu::run() at the end of the run.
  */
 #ifndef RFV_SIM_LOOP_PROFILER_H
 #define RFV_SIM_LOOP_PROFILER_H

@@ -5,7 +5,7 @@
  * throttling (GPU-shrink) and the scheduler-issued spill engine.
  *
  * Warp state lives in a structure-of-arrays WarpTable (see
- * sim/warp_table.h and docs/ARCHITECTURE.md §3.6): the per-cycle
+ * sim/warp_table.h and docs/ARCHITECTURE.md §3.5): the per-cycle
  * sweeps — issuable-mask computation, barrier release, scoreboard
  * clears — operate on packed arrays and bitmasks instead of hopping
  * across per-warp objects.
@@ -107,12 +107,12 @@ class Sm {
      *
      * Atomic read-modify-writes are the one place SMs intentionally
      * touch shared memory words, so their side effects are deferred
-     * and committed by the Gpu at the end-of-cycle barrier in SM-id
-     * order — the same order the sequential loop produces — keeping
-     * parallel runs bit-identical to sequential ones.  The destination
-     * register is scoreboarded until the (much later) DRAM completion,
-     * so the deferral is architecturally invisible.  Callers stepping
-     * an Sm directly must invoke this after each step().
+     * and committed by the Gpu at the end of the cycle in SM-id order.
+     * That order is part of the modeled semantics: every result and
+     * cache key depends on it.  The destination register is
+     * scoreboarded until the (much later) DRAM completion, so the
+     * deferral is architecturally invisible.  Callers stepping an Sm
+     * directly must invoke this after each step().
      */
     void commitAtomics(Cycle now);
 

@@ -237,7 +237,44 @@ TEST(Fuzz, SmokeRunIsGreenAndCountsInjectedFaults)
     EXPECT_EQ(report.scenarios, opts.scenarios);
     EXPECT_EQ(report.mutationsCaught + report.mutationsBenign,
               (opts.scenarios + 2) / 3);
-    EXPECT_GT(report.oracleChecks, opts.scenarios * 3);
+    // Every scenario runs self-check and diff-loop; soundness runs
+    // where the config verifies, and each injected fault is judged once.
+    u64 expectedChecks = 0;
+    for (u64 i = 0; i < opts.scenarios; ++i) {
+        const FuzzScenario sc =
+            deriveScenario(opts.seed, i, opts.mutateEvery);
+        expectedChecks += 2 + (sc.config.verifyReleases ? 1 : 0) +
+                          (sc.injectMutation ? 1 : 0);
+    }
+    EXPECT_EQ(report.oracleChecks, expectedChecks);
+}
+
+TEST(Fuzz, ReportDoesNotDependOnJobCount)
+{
+    FuzzOptions opts;
+    opts.seed = 20250809;
+    opts.scenarios = 24;
+    opts.mutateEvery = 3;
+    opts.useCache = false;
+    opts.minimize = false;
+    opts.jobs = 1;
+    const FuzzReport serial = runFuzz(opts);
+    opts.jobs = 4;
+    const FuzzReport parallel = runFuzz(opts);
+
+    EXPECT_EQ(serial.scenarios, parallel.scenarios);
+    EXPECT_EQ(serial.oracleChecks, parallel.oracleChecks);
+    EXPECT_EQ(serial.mutationsCaught, parallel.mutationsCaught);
+    EXPECT_EQ(serial.mutationsBenign, parallel.mutationsBenign);
+    ASSERT_EQ(serial.failures.size(), parallel.failures.size());
+    for (size_t i = 0; i < serial.failures.size(); ++i) {
+        const FuzzFailure &a = serial.failures[i];
+        const FuzzFailure &b = parallel.failures[i];
+        EXPECT_EQ(a.scenario.index, b.scenario.index);
+        EXPECT_EQ(a.oracle, b.oracle);
+        EXPECT_EQ(a.detail, b.detail);
+        EXPECT_EQ(a.minimized, b.minimized);
+    }
 }
 
 TEST(Fuzz, CommittedCorpusReplaysGreen)

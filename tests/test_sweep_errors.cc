@@ -161,9 +161,13 @@ TEST(RequestParsing, BadOverridesAreRejectedWithDiagnostics)
     RunConfig cfg;
     ASSERT_TRUE(runConfigByName("baseline", cfg));
     std::string error;
-    EXPECT_EQ(applyConfigOverride(cfg, "flux", "1", error),
-              ServiceStatus::kBadConfig);
-    EXPECT_NE(error.find("flux"), std::string::npos) << error;
+    // Unknown keys, including the removed SM-stepping thread count.
+    for (const char *key : {"flux", "numWorkerThreads"}) {
+        EXPECT_EQ(applyConfigOverride(cfg, key, "2", error),
+                  ServiceStatus::kBadConfig)
+            << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
     EXPECT_EQ(applyConfigOverride(cfg, "numSms", "-1", error),
               ServiceStatus::kBadConfig);
     EXPECT_EQ(applyConfigOverride(cfg, "numSms", "4x", error),
