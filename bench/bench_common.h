@@ -12,7 +12,8 @@
 #ifndef RFV_BENCH_BENCH_COMMON_H
 #define RFV_BENCH_BENCH_COMMON_H
 
-#include <cstring>
+#include <charconv>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -24,6 +25,22 @@ struct BenchArgs {
     u32 numSms = 4;
     u32 rounds = 3;
 
+    /** The decimal u32 after @p prefix characters of @p arg; exits 2
+     *  with a message, as an unknown flag does, on anything else. */
+    static u32
+    number(const std::string &arg, size_t prefix)
+    {
+        const char *first = arg.data() + prefix;
+        const char *last = arg.data() + arg.size();
+        u32 value = 0;
+        const auto [end, ec] = std::from_chars(first, last, value);
+        if (first == last || ec != std::errc() || end != last) {
+            std::cerr << "not a number: " << arg << "\n";
+            std::exit(2);
+        }
+        return value;
+    }
+
     static BenchArgs
     parse(int argc, char **argv)
     {
@@ -31,11 +48,13 @@ struct BenchArgs {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg.rfind("--sms=", 0) == 0) {
-                args.numSms = static_cast<u32>(
-                    std::stoul(arg.substr(6)));
+                args.numSms = number(arg, 6);
+                if (args.numSms == 0) {
+                    std::cerr << "--sms must be at least 1\n";
+                    std::exit(2);
+                }
             } else if (arg.rfind("--rounds=", 0) == 0) {
-                args.rounds = static_cast<u32>(
-                    std::stoul(arg.substr(9)));
+                args.rounds = number(arg, 9);
             } else if (arg == "--full") {
                 args.rounds = 0;
             } else if (arg == "--help" || arg == "-h") {

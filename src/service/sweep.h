@@ -115,15 +115,6 @@ struct SweepOptions {
     /** Memory-tier byte budget for the result cache (0 = unbounded). */
     u64 cacheMemoryBudget = 256ull << 20;
 
-    /** Memory-tier replacement policy (LRU default, CLOCK optional). */
-    EvictionPolicy cacheEviction = EvictionPolicy::kLru;
-
-    /** Lock-striped shard count (rounded up to a power of two). */
-    u32 cacheShards = 16;
-
-    /** Write-behind publish queue depth; overflow drops the publish. */
-    u32 cacheWriteBehindDepth = 256;
-
     /**
      * Cooperative interruption: when non-null and set, jobs that have
      * not started are finished as kCancelled (in-flight jobs complete
@@ -134,8 +125,8 @@ struct SweepOptions {
 
 /**
  * Everything needed to execute one job, with all shared artifacts
- * resolved.  Exposed so measurement harnesses (bench/trajectory) can
- * drive the engine's artifact path while owning their own timing.
+ * resolved.  Exposed so the served-job benchmark (servebench/) can
+ * drive the engine's artifact path while owning its own timing.
  */
 struct PreparedJob {
     SweepJob job;

@@ -147,7 +147,9 @@ TEST(Cluster, RoutedRunsAreBitIdenticalToLocalRuns)
     Cluster3 cluster;
     ClusterCoordinator coordinator(cluster.coordinatorOptions());
 
-    for (const char *workload : {"MatrixMul", "BFS", "VectorAdd"}) {
+    for (const char *workload :
+         {"MatrixMul", "BFS", "VectorAdd",
+          "gen:s1:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4"}) {
         const ServiceRequest req = smallRequest(workload);
         SweepJobResult served;
         std::string error;
@@ -171,7 +173,7 @@ TEST(Cluster, RoutedRunsAreBitIdenticalToLocalRuns)
     const ClusterCoordinator::Stats cs = coordinator.statsSnapshot();
     EXPECT_EQ(cs.reroutes, 0u);
     EXPECT_EQ(cs.failovers, 0u);
-    EXPECT_EQ(cs.dispatches, 3u);
+    EXPECT_EQ(cs.dispatches, 4u);
 }
 
 TEST(Cluster, MisroutedRunAnswersNotOwnerWithTheOwnerList)
