@@ -12,11 +12,11 @@
 #ifndef RFV_BENCH_BENCH_COMMON_H
 #define RFV_BENCH_BENCH_COMMON_H
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/decimal.h"
 #include "core/simulator.h"
 
 namespace rfv {
@@ -30,11 +30,8 @@ struct BenchArgs {
     static u32
     number(const std::string &arg, size_t prefix)
     {
-        const char *first = arg.data() + prefix;
-        const char *last = arg.data() + arg.size();
         u32 value = 0;
-        const auto [end, ec] = std::from_chars(first, last, value);
-        if (first == last || ec != std::errc() || end != last) {
+        if (!parseDecimal(std::string_view(arg).substr(prefix), value)) {
             std::cerr << "not a number: " << arg << "\n";
             std::exit(2);
         }

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "common/table.h"
 #include "core/simulator.h"
 #include "isa/assembler.h"
@@ -35,18 +36,23 @@ main(int argc, char **argv)
     u32 ctas = 4, threads = 128, sms = 1, dumpWords = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--config=", 0) == 0)
             configName = arg.substr(9);
         else if (arg.rfind("--ctas=", 0) == 0)
-            ctas = static_cast<u32>(std::stoul(arg.substr(7)));
+            ok = parseDecimal(arg.substr(7), ctas);
         else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseDecimal(arg.substr(10), threads);
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseDecimal(arg.substr(6), sms);
         else if (arg.rfind("--dump-memory=", 0) == 0)
-            dumpWords = static_cast<u32>(std::stoul(arg.substr(14)));
+            ok = parseDecimal(arg.substr(14), dumpWords);
         else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

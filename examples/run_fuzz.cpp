@@ -30,6 +30,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/decimal.h"
 #include "gen/fuzz.h"
 
 using namespace rfv;
@@ -90,23 +91,23 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--scenarios=", 0) == 0)
-            opts.scenarios = std::stoull(arg.substr(12));
+            ok = parseDecimal(arg.substr(12), opts.scenarios);
         else if (arg.rfind("--seed=", 0) == 0)
-            opts.seed = std::stoull(arg.substr(7));
+            ok = parseDecimal(arg.substr(7), opts.seed);
         else if (arg.rfind("--jobs=", 0) == 0)
-            opts.jobs = static_cast<u32>(std::stoul(arg.substr(7)));
+            ok = parseDecimal(arg.substr(7), opts.jobs);
         else if (arg.rfind("--cache-dir=", 0) == 0)
             opts.cacheDir = arg.substr(12);
         else if (arg == "--no-cache")
             opts.useCache = false;
         else if (arg.rfind("--mutate-every=", 0) == 0)
-            opts.mutateEvery = std::stoull(arg.substr(15));
+            ok = parseDecimal(arg.substr(15), opts.mutateEvery);
         else if (arg == "--no-minimize")
             opts.minimize = false;
         else if (arg.rfind("--minimize-budget=", 0) == 0)
-            opts.minimizeBudget =
-                static_cast<u32>(std::stoul(arg.substr(18)));
+            ok = parseDecimal(arg.substr(18), opts.minimizeBudget);
         else if (arg.rfind("--corpus=", 0) == 0)
             corpusPath = arg.substr(9);
         else if (arg.rfind("--save=", 0) == 0)
@@ -115,6 +116,10 @@ main(int argc, char **argv)
             quiet = true;
         else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

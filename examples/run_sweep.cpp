@@ -63,6 +63,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "common/sync.h"
 #include "core/report.h"
 #include "net/cluster_coordinator.h"
@@ -221,33 +222,37 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--default")
             useDefault = true;
         else if (arg.rfind("--jobs=", 0) == 0)
-            opts.jobs = static_cast<u32>(std::stoul(arg.substr(7)));
+            ok = parseDecimal(arg.substr(7), opts.jobs);
         else if (arg.rfind("--cache-dir=", 0) == 0)
             opts.cacheDir = arg.substr(12);
         else if (arg == "--no-cache")
             opts.useCache = false;
-        else if (arg.rfind("--cache-budget-mb=", 0) == 0)
-            opts.cacheMemoryBudget =
-                std::stoull(arg.substr(18)) << 20;
-        else if (arg.rfind("--csv=", 0) == 0)
+        else if (arg.rfind("--cache-budget-mb=", 0) == 0) {
+            u64 mb = 0;
+            ok = parseDecimal(arg.substr(18), mb) && mb <= (~0ull >> 20);
+            opts.cacheMemoryBudget = mb << 20;
+        } else if (arg.rfind("--csv=", 0) == 0)
             csvOut = arg.substr(6);
         else if (arg.rfind("--json=", 0) == 0)
             jsonOut = arg.substr(7);
         else if (arg.rfind("--sms=", 0) == 0) {
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseDecimal(arg.substr(6), sms);
             haveSms = true;
         } else if (arg.rfind("--rounds=", 0) == 0) {
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseDecimal(arg.substr(9), rounds);
             haveRounds = true;
         } else if (arg.rfind("--expect-hit-rate=", 0) == 0)
-            expectHitRate = std::stod(arg.substr(18));
+            // A NaN or negative rate would switch the gate off.
+            ok = parseDecimal(arg.substr(18), expectHitRate) &&
+                 expectHitRate >= 0 && expectHitRate <= 1;
         else if (arg.rfind("--cluster=", 0) == 0)
             cluster = arg.substr(10);
         else if (arg.rfind("--deadline-ms=", 0) == 0)
-            deadlineMs = std::stol(arg.substr(14));
+            ok = parseDecimal(arg.substr(14), deadlineMs);
         else if (arg == "--quiet")
             quiet = true;
         else if (arg.rfind("--", 0) == 0) {
@@ -255,6 +260,10 @@ main(int argc, char **argv)
             return 2;
         } else
             manifestPath = arg;
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
+            return 2;
+        }
     }
     if (useDefault == !manifestPath.empty()) {
         std::cerr << "expected exactly one of <manifest> or --default\n";

@@ -31,6 +31,7 @@
  */
 #include <iostream>
 
+#include "common/decimal.h"
 #include "core/report.h"
 #include "sim/loop_profiler.h"
 
@@ -56,12 +57,13 @@ main(int argc, char **argv)
     bool profile = false;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--config=", 0) == 0)
             configName = arg.substr(9);
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseDecimal(arg.substr(6), sms);
         else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseDecimal(arg.substr(9), rounds);
         else if (arg.rfind("--loop=", 0) == 0)
             loopName = arg.substr(7);
         else if (arg == "--gating")
@@ -76,6 +78,10 @@ main(int argc, char **argv)
             profile = true;
         else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

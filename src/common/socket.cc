@@ -71,10 +71,18 @@ pollFd(int fd, short events, const IoDeadline &deadline)
 IoDeadline
 deadlineAfterMs(i64 ms)
 {
+    using Clock = std::chrono::steady_clock;
     if (ms < 0)
         return std::nullopt;
-    return std::chrono::steady_clock::now() +
-           std::chrono::milliseconds(ms);
+    const Clock::time_point now = Clock::now();
+    // Compare in milliseconds: converting ms itself to the clock's
+    // nanoseconds would overflow first.
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
+    if (ms > headroom.count())
+        return std::nullopt;
+    return now + std::chrono::milliseconds(ms);
 }
 
 Socket::~Socket() { close(); }

@@ -25,7 +25,10 @@ namespace rfv {
 using IoDeadline =
     std::optional<std::chrono::steady_clock::time_point>;
 
-/** Deadline @p ms milliseconds from now. */
+/**
+ * Deadline @p ms milliseconds from now.  No deadline when @p ms is
+ * negative, or so large that the clock cannot represent the sum.
+ */
 IoDeadline deadlineAfterMs(i64 ms);
 
 /** Outcome of a byte-level I/O step. */

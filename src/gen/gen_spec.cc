@@ -4,38 +4,12 @@
 #include <sstream>
 
 #include "common/bit_utils.h"
+#include "common/decimal.h"
 #include "common/error.h"
 
 namespace rfv {
 
 namespace {
-
-bool
-parseU64(const std::string &s, u64 &out)
-{
-    if (s.empty())
-        return false;
-    u64 v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        if (v > (~0ull - (c - '0')) / 10)
-            return false; // overflow
-        v = v * 10 + static_cast<u64>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseU32(const std::string &s, u32 &out)
-{
-    u64 v = 0;
-    if (!parseU64(s, v) || v > 0xffffffffull)
-        return false;
-    out = static_cast<u32>(v);
-    return true;
-}
 
 /** Split @p s on @p sep (no empty-token elision). */
 std::vector<std::string>
@@ -107,30 +81,30 @@ GenSpec::parse(const std::string &name, GenSpec &spec, std::string &error)
         bool ok = true;
         switch (key) {
           case 's':
-            ok = mark(0) && parseU64(val, out.seed);
+            ok = mark(0) && parseDecimal(val, out.seed);
             break;
           case 'd':
-            ok = mark(1) && parseU32(val, out.depth);
+            ok = mark(1) && parseDecimal(val, out.depth);
             break;
           case 'b':
-            ok = mark(2) && parseU32(val, out.blocks);
+            ok = mark(2) && parseDecimal(val, out.blocks);
             break;
           case 'r':
-            ok = mark(3) && parseU32(val, out.regs);
+            ok = mark(3) && parseDecimal(val, out.regs);
             break;
           case 'l':
-            ok = mark(4) && parseU32(val, out.longLived);
+            ok = mark(4) && parseDecimal(val, out.longLived);
             break;
           case 'w': {
             const auto parts = split(val, '.');
             ok = mark(5) && parts.size() == 3 &&
-                 parseU32(parts[0], out.loopWeight) &&
-                 parseU32(parts[1], out.branchWeight) &&
-                 parseU32(parts[2], out.memWeight);
+                 parseDecimal(parts[0], out.loopWeight) &&
+                 parseDecimal(parts[1], out.branchWeight) &&
+                 parseDecimal(parts[2], out.memWeight);
             break;
           }
           case 'a':
-            ok = mark(6) && parseU32(val, out.auxStores);
+            ok = mark(6) && parseDecimal(val, out.auxStores);
             break;
           case 'x': {
             ok = mark(7) && val.size() == 2 &&
@@ -145,15 +119,15 @@ GenSpec::parse(const std::string &name, GenSpec &spec, std::string &error)
           case 'g': {
             const auto parts = split(val, 'x');
             ok = mark(8) && parts.size() == 3 &&
-                 parseU32(parts[0], out.ctas) &&
-                 parseU32(parts[1], out.threadsPerCta) &&
-                 parseU32(parts[2], out.concCtasPerSm);
+                 parseDecimal(parts[0], out.ctas) &&
+                 parseDecimal(parts[1], out.threadsPerCta) &&
+                 parseDecimal(parts[2], out.concCtasPerSm);
             break;
           }
           case 'p': {
             for (const std::string &id : split(val, '.')) {
                 u32 v = 0;
-                if (!parseU32(id, v)) {
+                if (!parseDecimal(id, v)) {
                     ok = false;
                     break;
                 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "service/result_cache.h"
 #include "service/version.h"
 
@@ -28,41 +29,14 @@ bool
 Message::getU64(const std::string &key, u64 &out) const
 {
     const std::string *v = find(key);
-    if (!v || v->empty())
-        return false;
-    u64 x = 0;
-    for (char c : *v) {
-        if (c < '0' || c > '9')
-            return false;
-        const u64 next = x * 10 + static_cast<u64>(c - '0');
-        if (next < x)
-            return false;
-        x = next;
-    }
-    out = x;
-    return true;
+    return v && parseDecimal(*v, out);
 }
 
 bool
 Message::getI64(const std::string &key, i64 &out) const
 {
     const std::string *v = find(key);
-    if (!v || v->empty())
-        return false;
-    const bool neg = (*v)[0] == '-';
-    u64 mag = 0;
-    const std::string digits = neg ? v->substr(1) : *v;
-    if (digits.empty())
-        return false;
-    for (char c : digits) {
-        if (c < '0' || c > '9')
-            return false;
-        mag = mag * 10 + static_cast<u64>(c - '0');
-        if (mag > (1ull << 62))
-            return false;
-    }
-    out = neg ? -static_cast<i64>(mag) : static_cast<i64>(mag);
-    return true;
+    return v && parseDecimal(*v, out);
 }
 
 std::vector<std::string>

@@ -107,7 +107,7 @@ SweepEngine::prepare(const SweepJob &job)
 }
 
 RunOutcome
-SweepEngine::executeLive(const PreparedJob &p, double *runSeconds) const
+SweepEngine::executeLive(const PreparedJob &p) const
 {
     const RunConfig &cfg = p.job.config;
 
@@ -126,10 +126,7 @@ SweepEngine::executeLive(const PreparedJob &p, double *runSeconds) const
 
     Gpu machine(p.gpu, p.compiled->kernel.program, p.launch, mem, {},
                 &p.decode->cache);
-    const auto t0 = std::chrono::steady_clock::now();
     out.sim = machine.run();
-    if (runSeconds)
-        *runSeconds = secondsSince(t0);
     out.loop = machine.loopStats();
 
     EnergyParams ep;

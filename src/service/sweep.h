@@ -173,12 +173,8 @@ class SweepEngine {
     /** Resolve all shared artifacts for one job (thread-safe). */
     PreparedJob prepare(const SweepJob &job);
 
-    /**
-     * Run one prepared job live (no cache).  @p runSeconds, when
-     * non-null, receives the wall time of Gpu::run() alone.
-     */
-    RunOutcome executeLive(const PreparedJob &p,
-                           double *runSeconds = nullptr) const;
+    /** Run one prepared job live (no cache). */
+    RunOutcome executeLive(const PreparedJob &p) const;
 
     ArtifactStore &artifacts() { return store_; }
     ResultCache &results() { return cache_; }

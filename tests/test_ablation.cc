@@ -15,7 +15,6 @@
 #include "compiler/pipeline.h"
 #include "core/simulator.h"
 #include "isa/builder.h"
-#include "workloads/random_kernel.h"
 
 namespace rfv {
 namespace {
@@ -321,51 +320,6 @@ TEST(Regression, AggressiveSiblingRedefinition)
     gpu.run();
     for (u32 i = 0; i < 32; ++i)
         EXPECT_EQ(mem.word(i), i < 16 ? 101u : i * 7) << "lane " << i;
-}
-
-/** Deeper random nesting with every mode still agreeing. */
-TEST(Regression, DeepNestingEquivalence)
-{
-    for (u64 seed : {101ull, 202ull, 303ull}) {
-        RandomKernelOptions opts;
-        opts.seed = seed;
-        opts.maxDepth = 3;
-        opts.bodyBlocks = 8;
-        opts.maxRegs = 22;
-        const auto rk = generateRandomKernel(opts);
-
-        LaunchParams launch;
-        launch.gridCtas = 2;
-        launch.threadsPerCta = 64;
-
-        auto runMode = [&](RegFileMode mode, bool virt, u32 rf) {
-            CompileOptions copts;
-            copts.virtualize = virt;
-            const auto ck = compileKernel(rk.program, copts);
-            GlobalMemory mem(rk.memoryWords(launch) * 4);
-            for (u32 word = 0; word < kRandomKernelInputWords; ++word)
-                mem.setWord(word, word * 77 + 5);
-            GpuConfig cfg;
-            cfg.numSms = 1;
-            cfg.regFile.mode = mode;
-            cfg.regFile.sizeBytes = rf;
-            cfg.regFile.poisonOnRelease = true;
-            Gpu gpu(cfg, ck.program, launch, mem);
-            gpu.run();
-            std::vector<u32> out;
-            for (u32 t = 0; t < 128; ++t)
-                out.push_back(mem.word(kRandomKernelInputWords + t));
-            return out;
-        };
-        const auto base =
-            runMode(RegFileMode::kBaseline, false, 128 * 1024);
-        const auto virt =
-            runMode(RegFileMode::kVirtualized, true, 128 * 1024);
-        const auto tiny =
-            runMode(RegFileMode::kVirtualized, true, 16 * 1024);
-        EXPECT_EQ(base, virt) << "seed " << seed;
-        EXPECT_EQ(base, tiny) << "seed " << seed;
-    }
 }
 
 } // namespace

@@ -1,21 +1,17 @@
 /**
  * @file
  * Second wave of compiler tests: nested-divergence deferral, bank
- * balancing, spill-transform functional equivalence, dominator
- * corner cases, and lifetime statistics ordering.
+ * balancing, dominator corner cases, and lifetime statistics ordering.
  */
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "common/bit_utils.h"
 #include "compiler/dominators.h"
 #include "compiler/exempt.h"
 #include "compiler/pipeline.h"
-#include "compiler/spill.h"
 #include "isa/builder.h"
 #include "sim/gpu.h"
-#include "workloads/random_kernel.h"
 #include "workloads/workload.h"
 
 namespace rfv {
@@ -153,51 +149,6 @@ TEST(BankBalance, HotRegistersSpreadAcrossBanks)
     for (u32 i = 0; i < 4; ++i)
         banks.insert(res.permutation[hot + i] % kNumRegBanks);
     EXPECT_EQ(banks.size(), 4u);
-}
-
-TEST(Spill, TransformedProgramsComputeTheSameResults)
-{
-    // Property test: for random kernels, spilling to (pressure - 2)
-    // registers must not change the kernel's results.
-    for (u64 seed = 50; seed < 58; ++seed) {
-        RandomKernelOptions opts;
-        opts.seed = seed;
-        opts.maxRegs = 14;
-        const auto rk = generateRandomKernel(opts);
-
-        // Measure pressure to pick a budget that forces demotion.
-        const Cfg cfg(rk.program);
-        const Liveness live = computeLiveness(rk.program, cfg);
-        const auto after = computeLiveAfter(rk.program, cfg, live);
-        u32 press = 0;
-        for (u32 pc = 0; pc < rk.program.code.size(); ++pc)
-            press = std::max(press, popcount64(after[pc]));
-        const u32 budget = std::max(4u, press > 2 ? press - 2 : 4u);
-
-        const SpillResult spilled = spillToBudget(rk.program, budget);
-        EXPECT_LE(spilled.program.numRegs, budget) << "seed " << seed;
-
-        LaunchParams launch;
-        launch.gridCtas = 2;
-        launch.threadsPerCta = 64;
-        auto runProg = [&](const Program &prog) {
-            GlobalMemory mem(rk.memoryWords(launch) * 4);
-            for (u32 w = 0; w < kRandomKernelInputWords; ++w)
-                mem.setWord(w, w * 31 + 3);
-            GpuConfig gcfg;
-            gcfg.numSms = 1;
-            CompileOptions copts;
-            const auto ck = compileKernel(prog, copts);
-            Gpu gpu(gcfg, ck.program, launch, mem);
-            gpu.run();
-            std::vector<u32> out;
-            for (u32 t = 0; t < 128; ++t)
-                out.push_back(mem.word(kRandomKernelInputWords + t));
-            return out;
-        };
-        EXPECT_EQ(runProg(rk.program), runProg(spilled.program))
-            << "seed " << seed;
-    }
 }
 
 TEST(Lifetime, AvgLifetimeRanksLongLivedLast)

@@ -1,188 +1,162 @@
 /**
  * @file
- * Property-based architectural-equivalence tests.
+ * Release-safety equivalence over generated kernels.
  *
- * For seeded random structured kernels (divergence, loops, barriers,
- * memory traffic), the final global-memory image must be identical
- * under:
- *   - baseline allocation,
- *   - compiler-guided virtualization (paper mode),
- *   - virtualization with aggressive in-divergence releases,
- *   - virtualization with a tight renaming-table budget (exempt regs),
- *   - GPU-shrink (half-size and tiny register files, throttle + spill),
- *   - hardware-only renaming.
+ * The paper's correctness claim is that the compiler's pir/pbr
+ * releases are SIMT-safe and that GPU-shrink's throttle and spill path
+ * never change a result.  A fixed corpus of `gen:` kernels (nested
+ * divergence, counted and divergent loops, loads, shared-memory
+ * exchanges, barriers, early exits) runs against a matrix of
+ * register-file configurations, and every (spec, config) pair goes
+ * through the fuzz driver's checkScenario:
+ *   - self-check: the output image matches the host reference,
+ *   - soundness:  the static release-flag verifier reports no error,
+ *   - diff-loop:  the event-driven and naive loops agree bit for bit.
  *
- * Released registers are poisoned, so any unsafe release corrupts the
- * output deterministically.
+ * Every config sets verifyReleases, so released registers are poisoned
+ * and the runtime lifecycle lint traps any read of one.  Every config
+ * runs one SM, so the whole grid's register pressure lands on it; the
+ * reach assertions check that the small files really spill, throttle
+ * and demote.
  */
 #include <gtest/gtest.h>
 
-#include "compiler/pipeline.h"
-#include "sim/gpu.h"
-#include "workloads/random_kernel.h"
+#include "gen/fuzz.h"
+#include "gen/kernel_generator.h"
 
 namespace rfv {
 namespace {
 
-struct ModeSpec {
-    const char *label;
-    RegFileMode mode;
-    bool virtualize;
-    bool aggressive;
-    u32 rfBytes;
-    u32 tableBytes; //!< 0 = unconstrained
-};
-
-std::vector<u32>
-runOnce(const RandomKernel &rk, const ModeSpec &spec,
-        const LaunchParams &launch)
+GenSpec
+specFor(u64 seed, u32 ctas, u32 threadsPerCta, u32 concCtasPerSm)
 {
-    CompileOptions copts;
-    copts.virtualize = spec.virtualize;
-    copts.aggressiveDiverged = spec.aggressive;
-    copts.renamingTableBytes = spec.tableBytes;
-    copts.residentWarps = 48;
-    const auto ck = compileKernel(rk.program, copts);
+    GenSpec s;
+    s.seed = seed;
+    s.ctas = ctas;
+    s.threadsPerCta = threadsPerCta;
+    s.concCtasPerSm = concCtasPerSm;
+    return s;
+}
 
-    GlobalMemory mem(rk.memoryWords(launch) * 4);
-    // Deterministic input pattern.
-    for (u32 w = 0; w < kRandomKernelInputWords; ++w)
-        mem.setWord(w, w * 2654435761u + 12345u);
-
-    GpuConfig cfg;
-    cfg.numSms = 1;
-    cfg.regFile.mode = spec.mode;
-    cfg.regFile.sizeBytes = spec.rfBytes;
-    cfg.regFile.poisonOnRelease = true;
-    cfg.maxCycles = 5'000'000;
-    Gpu gpu(cfg, ck.program, launch, mem);
-    const auto res = gpu.run();
-    EXPECT_EQ(res.completedCtas, launch.gridCtas) << spec.label;
-
-    std::vector<u32> out;
-    const u32 threads = launch.gridCtas * launch.threadsPerCta;
-    for (u32 t = 0; t < threads; ++t)
-        out.push_back(mem.word(kRandomKernelInputWords + t));
+/** 59 kernels: plain, shared-exchange and deep-nesting shapes. */
+std::vector<GenSpec>
+corpus()
+{
+    std::vector<GenSpec> out;
+    for (u32 seed = 1; seed <= 40; ++seed) {
+        GenSpec s = specFor(seed, 3, 96, 3);
+        s.regs = 10 + seed % 9;
+        s.blocks = 5 + seed % 4;
+        out.push_back(s);
+    }
+    for (u32 seed = 500; seed <= 515; ++seed) {
+        GenSpec s = specFor(seed, 2, 64, 2);
+        s.exchanges = true;
+        s.blocks = 8;
+        out.push_back(s);
+    }
+    for (u32 seed : {101u, 202u, 303u}) {
+        GenSpec s = specFor(seed, 2, 64, 2);
+        s.depth = 3;
+        s.blocks = 8;
+        s.regs = 22;
+        out.push_back(s);
+    }
     return out;
 }
 
-class EquivalenceTest : public ::testing::TestWithParam<u64> {};
+// Columns of matrix() the reach assertions read.
+constexpr size_t kRf16 = 6, kRf8 = 7, kCompilerSpill = 8;
 
-TEST_P(EquivalenceTest, AllModesAgree)
+std::vector<RunConfig>
+matrix()
 {
-    RandomKernelOptions opts;
-    opts.seed = GetParam();
-    opts.maxRegs = 10 + static_cast<u32>(GetParam() % 9);
-    opts.bodyBlocks = 5 + static_cast<u32>(GetParam() % 4);
-    const RandomKernel rk = generateRandomKernel(opts);
+    RunConfig aggressive = RunConfig::virtualized();
+    aggressive.label = "virtualized-aggressive";
+    aggressive.aggressiveDiverged = true;
+    RunConfig table = RunConfig::virtualized();
+    table.label = "virtualized-256B-table";
+    table.renamingTableBytes = 256;
+    RunConfig rf16 = RunConfig::virtualized();
+    rf16.label = "virtualized-16KB";
+    rf16.rfSizeBytes = 16 * 1024;
+    RunConfig rf8 = RunConfig::virtualized();
+    rf8.label = "virtualized-8KB";
+    rf8.rfSizeBytes = 8 * 1024;
+    // At 8 KiB some specs have no spill budget left (ConfigError).
+    RunConfig spill = RunConfig::compilerSpillShrink(50);
+    spill.label = "compiler-spill-16KB";
+    spill.rfSizeBytes = 16 * 1024;
 
-    LaunchParams launch;
-    launch.gridCtas = 3;
-    launch.threadsPerCta = 96;
-    launch.concCtasPerSm = 3;
-
-    const ModeSpec specs[] = {
-        {"baseline", RegFileMode::kBaseline, false, false, 128 * 1024, 0},
-        {"virtualized", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 0},
-        {"virtualized-aggressive", RegFileMode::kVirtualized, true, true,
-         128 * 1024, 0},
-        {"virtualized-1KB-table", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 256},
-        {"gpu-shrink-50", RegFileMode::kVirtualized, true, false,
-         64 * 1024, 0},
-        {"gpu-shrink-tiny", RegFileMode::kVirtualized, true, false,
-         8 * 1024, 0},
-        {"hardware-only", RegFileMode::kHardwareOnly, false, false,
-         128 * 1024, 0},
+    std::vector<RunConfig> out = {
+        RunConfig::baseline(), RunConfig::virtualized(),
+        RunConfig::gpuShrink(50), RunConfig::hardwareOnly(),
+        aggressive, table, rf16, rf8, spill,
     };
+    for (RunConfig &cfg : out) {
+        cfg.numSms = 1;
+        cfg.verifyReleases = true;
+    }
+    return out;
+}
 
-    const auto reference = runOnce(rk, specs[0], launch);
-    ASSERT_FALSE(reference.empty());
-    for (std::size_t s = 1; s < std::size(specs); ++s) {
-        const auto got = runOnce(rk, specs[s], launch);
-        ASSERT_EQ(got.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-            ASSERT_EQ(got[i], reference[i])
-                << "mode " << specs[s].label << " thread " << i
-                << " seed " << GetParam();
+TEST(Equivalence, CorpusPassesEveryOracleAcrossTheMatrix)
+{
+    const std::vector<GenSpec> specs = corpus();
+    const std::vector<RunConfig> configs = matrix();
+    ASSERT_EQ(specs.size(), 59u);
+    ASSERT_EQ(configs[kRf16].label, "virtualized-16KB");
+    ASSERT_EQ(configs[kRf8].label, "virtualized-8KB");
+    ASSERT_EQ(configs[kCompilerSpill].label, "compiler-spill-16KB");
+
+    struct Reach {
+        u64 spillEvents = 0, throttledRuns = 0, demotingRuns = 0;
+    };
+    std::vector<Reach> reach(configs.size());
+    SweepEngine engine;
+    for (const GenSpec &spec : specs) {
+        for (size_t c = 0; c < configs.size(); ++c) {
+            FuzzScenario sc;
+            sc.spec = spec;
+            sc.config = configs[c];
+            if (const auto f = checkScenario(engine, sc)) {
+                ADD_FAILURE() << spec.name() << " under "
+                              << configs[c].label << ": "
+                              << fuzzOracleName(f->oracle)
+                              << " oracle: " << f->detail;
+                continue;
+            }
+            // A memory hit: the self-check oracle stored this outcome.
+            const RunOutcome o =
+                engine.execute({spec.name(), configs[c]}).outcome;
+            reach[c].spillEvents += o.sim.spillEvents;
+            reach[c].throttledRuns += o.sim.throttleActiveCycles > 0;
+            reach[c].demotingRuns += o.compile.demotedRegs > 0;
         }
     }
+
+    // The small files must actually exercise what they are here for.
+    EXPECT_GT(reach[kRf16].spillEvents, 0u);
+    EXPECT_GT(reach[kRf8].spillEvents, 0u);
+    EXPECT_EQ(reach[kRf8].throttledRuns, specs.size());
+    EXPECT_GT(reach[kCompilerSpill].demotingRuns, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
-                         ::testing::Range<u64>(1, 41));
-
-/** Shared-memory + barrier kernels (power-of-two CTAs) across modes. */
-class SharedEquivalenceTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(SharedEquivalenceTest, AllModesAgree)
+TEST(Equivalence, CorpusLowersToEveryConstructKind)
 {
-    RandomKernelOptions opts;
-    opts.seed = GetParam();
-    opts.sharedStages = true;
-    opts.bodyBlocks = 8;
-    const RandomKernel rk = generateRandomKernel(opts);
-
-    LaunchParams launch;
-    launch.gridCtas = 2;
-    launch.threadsPerCta = 64; // power of two for the exchange mask
-    launch.concCtasPerSm = 2;
-
-    const ModeSpec specs[] = {
-        {"baseline", RegFileMode::kBaseline, false, false, 128 * 1024, 0},
-        {"virtualized", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 0},
-        {"virtualized-aggressive", RegFileMode::kVirtualized, true, true,
-         128 * 1024, 0},
-        {"gpu-shrink-tiny", RegFileMode::kVirtualized, true, false,
-         8 * 1024, 0},
-        {"hardware-only", RegFileMode::kHardwareOnly, false, false,
-         128 * 1024, 0},
-    };
-    const auto reference = runOnce(rk, specs[0], launch);
-    bool sawShared = false;
-    for (const auto &ins : rk.program.code)
-        sawShared |= ins.op == Opcode::kLdShared;
-    for (std::size_t s = 1; s < std::size(specs); ++s) {
-        const auto got = runOnce(rk, specs[s], launch);
-        ASSERT_EQ(got, reference)
-            << "mode " << specs[s].label << " seed " << GetParam();
-    }
-    (void)sawShared;
-}
-
-INSTANTIATE_TEST_SUITE_P(SharedSeeds, SharedEquivalenceTest,
-                         ::testing::Range<u64>(500, 516));
-
-TEST(Equivalence, GeneratorIsDeterministic)
-{
-    RandomKernelOptions opts;
-    opts.seed = 7;
-    const auto a = generateRandomKernel(opts);
-    const auto b = generateRandomKernel(opts);
-    ASSERT_EQ(a.program.code.size(), b.program.code.size());
-    for (u32 pc = 0; pc < a.program.code.size(); ++pc)
-        EXPECT_EQ(a.program.code[pc].op, b.program.code[pc].op);
-}
-
-TEST(Equivalence, GeneratedKernelsAreStructured)
-{
-    u32 sawBranch = 0, sawLoad = 0, sawBarrier = 0;
-    for (u64 seed = 1; seed < 40; ++seed) {
-        RandomKernelOptions opts;
-        opts.seed = seed;
-        const auto rk = generateRandomKernel(opts);
-        rk.program.validate();
-        for (const auto &ins : rk.program.code) {
-            sawBranch += ins.op == Opcode::kBra;
-            sawLoad += ins.op == Opcode::kLdGlobal;
-            sawBarrier += ins.op == Opcode::kBar;
+    u32 branches = 0, loads = 0, barriers = 0, sharedLoads = 0;
+    for (const GenSpec &spec : corpus()) {
+        for (const Instr &ins : lowerGenIr(buildGenIr(spec)).code) {
+            branches += ins.op == Opcode::kBra;
+            loads += ins.op == Opcode::kLdGlobal;
+            barriers += ins.op == Opcode::kBar;
+            sharedLoads += ins.op == Opcode::kLdShared;
         }
     }
-    EXPECT_GT(sawBranch, 20u);
-    EXPECT_GT(sawLoad, 20u);
-    EXPECT_GT(sawBarrier, 3u);
+    EXPECT_GT(branches, 0u);
+    EXPECT_GT(loads, 0u);
+    EXPECT_GT(barriers, 0u);
+    EXPECT_GT(sharedLoads, 0u);
 }
 
 } // namespace

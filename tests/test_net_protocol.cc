@@ -145,6 +145,18 @@ TEST(MessageCodec, MissingKeysAreStrict)
     u64 u = 7;
     EXPECT_FALSE(m.getU64("count", u)) << "trailing junk must fail";
     EXPECT_FALSE(m.getU64("absent", u));
+
+    // Out-of-range values fail instead of wrapping.
+    Message big;
+    big.add("u", "30000000000000000000");
+    big.add("i", "18446744073709551616");
+    big.add("i2", "18446744073709551620");
+    i64 i = 7;
+    EXPECT_FALSE(big.getU64("u", u));
+    EXPECT_FALSE(big.getI64("i", i));
+    EXPECT_FALSE(big.getI64("i2", i));
+    EXPECT_EQ(u, 7u);
+    EXPECT_EQ(i, 7);
     EXPECT_EQ(m.find("absent"), nullptr);
     EXPECT_EQ(m.get("absent", "fallback"), "fallback");
 }
@@ -246,6 +258,13 @@ TEST(RunCodec, MalformedRequestsGetClientErrorStatuses)
     badSet.add("workload", "BFS");
     badSet.add("set", "no-equals");
     EXPECT_EQ(decodeRunRequest(badSet, out, error),
+              ServiceStatus::kBadRequest);
+
+    Message wrappedDeadline;
+    wrappedDeadline.verb = kVerbRun;
+    wrappedDeadline.add("workload", "BFS");
+    wrappedDeadline.add("deadline_ms", "18446744073709551620");
+    EXPECT_EQ(decodeRunRequest(wrappedDeadline, out, error),
               ServiceStatus::kBadRequest);
 
     Message wrongVerb;

@@ -334,6 +334,12 @@ TEST(SimdService, DeadlineExpiryAnswersDeadlineExceeded)
     cv.notifyAll();
     t.join();
     EXPECT_GE(counter(server, "requests_timed_out"), 1u);
+
+    // A deadline the clock cannot represent (~317 years) is no
+    // deadline, not one that has already passed.
+    ServiceRequest patient = smallRequest();
+    patient.deadlineMs = 10'000'000'000'000;
+    EXPECT_EQ(client.run(patient, res, error), ServiceStatus::kOk) << error;
     server.stop();
 }
 

@@ -168,10 +168,10 @@ TEST(RequestParsing, BadOverridesAreRejectedWithDiagnostics)
             << key;
         EXPECT_NE(error.find(key), std::string::npos) << error;
     }
-    EXPECT_EQ(applyConfigOverride(cfg, "numSms", "-1", error),
-              ServiceStatus::kBadConfig);
-    EXPECT_EQ(applyConfigOverride(cfg, "numSms", "4x", error),
-              ServiceStatus::kBadConfig);
+    for (const char *value : {"-1", "4x", "", "4294967296", "+1"})
+        EXPECT_EQ(applyConfigOverride(cfg, "numSms", value, error),
+                  ServiceStatus::kBadConfig)
+            << "'" << value << "'";
     EXPECT_EQ(applyConfigOverride(cfg, "powerGating", "maybe", error),
               ServiceStatus::kBadConfig);
 }
