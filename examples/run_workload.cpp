@@ -37,16 +37,27 @@
 
 using namespace rfv;
 
+namespace {
+
+void
+listWorkloads()
+{
+    std::cerr << "       workloads:";
+    for (const auto &w : allWorkloads())
+        std::cerr << " " << w->name();
+    std::cerr << "\n";
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     if (argc < 2) {
         std::cerr << "usage: run_workload <workload|all> "
                      "[--config=...] [--sms=N] [--rounds=N] "
-                     "[--gating] [--csv]\n       workloads:";
-        for (const auto &w : allWorkloads())
-            std::cerr << " " << w->name();
-        std::cerr << "\n";
+                     "[--gating] [--csv]\n";
+        listWorkloads();
         return 2;
     }
     const std::string target = argv[1];
@@ -115,7 +126,13 @@ main(int argc, char **argv)
     if (target == "all") {
         targets = allWorkloads();
     } else {
-        targets.push_back(findWorkload(target));
+        try {
+            targets.push_back(findWorkload(target));
+        } catch (const ConfigError &e) {
+            std::cerr << e.what() << "\n";
+            listWorkloads();
+            return 2;
+        }
     }
 
     bool verifyFailed = false;

@@ -60,6 +60,20 @@ VerifyResult::str() const
     return out;
 }
 
+std::string
+VerifyResult::errorSummary() const
+{
+    std::string out;
+    for (const auto &d : diags) {
+        if (d.severity == VerifySeverity::kError) {
+            out += d.str();
+            out += '\n';
+        }
+    }
+    out += std::to_string(numWarnings) + " warning(s)";
+    return out;
+}
+
 namespace {
 
 /** One release event: register @p reg is freed at program point @p pc. */

@@ -93,6 +93,14 @@ struct VerifyResult {
     /** All diagnostics, one per line (empty string when clean). */
     std::string str() const;
 
+    /**
+     * The error diagnostics, one per line, then the number of
+     * warnings: a failure report that leads with what made the
+     * program unsound, however many warnings precede it in program
+     * order.
+     */
+    std::string errorSummary() const;
+
     bool operator==(const VerifyResult &) const = default;
 };
 

@@ -168,7 +168,7 @@ runOracle(SweepEngine &engine, const GenSpec &spec,
         if (!r.outcome.verify.ok())
             return "release-flag verifier reported " +
                    std::to_string(r.outcome.verify.numErrors) +
-                   " error(s): " + r.outcome.verify.str();
+                   " error(s):\n" + r.outcome.verify.errorSummary();
         return std::nullopt;
       }
       case FuzzOracle::kDiffLoop: {

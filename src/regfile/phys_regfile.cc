@@ -7,6 +7,20 @@ namespace rfv {
 PhysRegFile::PhysRegFile(const RegFileConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
+    for (u32 b = 0; b < cfg_.numBanks; ++b) {
+        for (u32 s = 0; s < cfg_.subarraysPerBank; ++s) {
+            bank_.insert(bank_.end(), cfg_.regsPerSubarray(), b);
+            subarray_.insert(subarray_.end(), cfg_.regsPerSubarray(),
+                             b * cfg_.subarraysPerBank + s);
+        }
+    }
+    reset();
+}
+
+void
+PhysRegFile::reset()
+{
+    // assign() on vectors already at size n refills them in place.
     const u32 n = cfg_.physRegs();
     freeBits_.assign(ceilDiv(n, 64), ~0ull);
     // Clear padding bits beyond n.
@@ -21,16 +35,9 @@ PhysRegFile::PhysRegFile(const RegFileConfig &cfg) : cfg_(cfg)
     freeCount_ = n;
     touched_.assign(n, false);
     lastOwner_.assign(n, kNoOwner);
+    stats_ = PhysRegFileStats{};
     stats_.bankReads.assign(cfg_.numBanks, 0);
     stats_.bankWrites.assign(cfg_.numBanks, 0);
-}
-
-u32
-PhysRegFile::subarrayOf(u32 phys) const
-{
-    const u32 bank = bankOf(phys);
-    const u32 idx = phys % cfg_.regsPerBank();
-    return bank * cfg_.subarraysPerBank + idx / cfg_.regsPerSubarray();
 }
 
 void

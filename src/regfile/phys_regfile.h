@@ -53,12 +53,15 @@ class PhysRegFile {
   public:
     explicit PhysRegFile(const RegFileConfig &cfg);
 
+    /** Free every register, zero every value and clear the stats. */
+    void reset();
+
     u32 numRegs() const { return cfg_.physRegs(); }
     u32 regsPerBank() const { return cfg_.regsPerBank(); }
     u32 numBanks() const { return cfg_.numBanks; }
 
     /** Bank that physical register @p phys lives in. */
-    u32 bankOf(u32 phys) const { return phys / cfg_.regsPerBank(); }
+    u32 bankOf(u32 phys) const { return bank_[phys]; }
 
     /**
      * Allocate the lowest free register in @p bank at in-bank index
@@ -161,10 +164,18 @@ class PhysRegFile {
     const PhysRegFileStats &stats() const { return stats_; }
 
   private:
-    u32 subarrayOf(u32 phys) const;
+    u32 subarrayOf(u32 phys) const { return subarray_[phys]; }
     void onAlloc(u32 phys, u32 &wakeCycles, u32 owner = kNoOwner);
 
     RegFileConfig cfg_;
+    /**
+     * Bank and subarray (bank-major) of each physical register, looked
+     * up instead of divided out: every operand read and write and
+     * every allocation and release asks, and a bank need not hold a
+     * power-of-two number of registers.
+     */
+    std::vector<u32> bank_;
+    std::vector<u32> subarray_;
     std::vector<u64> freeBits_;            //!< one bit per phys reg; 1=free
     std::vector<WarpValue> values_;
     std::vector<u32> subarrayAllocCount_;  //!< per (bank,subarray)

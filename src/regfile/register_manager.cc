@@ -33,13 +33,12 @@ RegisterManager::configureKernel(u32 regs_per_warp, u32 num_exempt)
     regsPerWarp_ = regs_per_warp;
     numExempt_ = cfg_.mode == RegFileMode::kVirtualized ? num_exempt : 0;
 
-    file_ = PhysRegFile(cfg_);
+    file_.reset();
     mapping_.assign(maxWarpSlots_ * (kMaxArchRegs + 1), kInvalidPhysReg);
     state_.assign(mapping_.size(), RegState::kUnmapped);
     spilledCount_.assign(maxWarpSlots_, 0);
     lint_.assign(cfg_.lifecycleLint ? mapping_.size() : 0,
                  RegLifecycle::kFresh);
-    spillStore_.assign(mapping_.size(), WarpValue{});
     ctaAlloc_.assign(maxWarpSlots_, 0); // at most one CTA per warp slot
     mapped_ = 0;
     ++allocEpoch_;
@@ -147,8 +146,10 @@ RegisterManager::completeCta(u32 cta_slot, u32 first_warp_slot,
                              u32 num_warps)
 {
     ++allocEpoch_; // the resident-CTA set shrinks even if no reg is held
+    // Registers at or past the kernel's footprint are never mapped
+    // (Program::validate), so their slots stay untouched.
     for (u32 w = first_warp_slot; w < first_warp_slot + num_warps; ++w) {
-        for (u32 r = 0; r <= kMaxArchRegs; ++r) {
+        for (u32 r = 0; r < regsPerWarp_; ++r) {
             const u32 idx = slotIndex(w, r);
             if (state_[idx] == RegState::kMapped)
                 freeMapping(w, cta_slot, r);
@@ -166,7 +167,7 @@ RegisterManager::completeWarp(u32 warp_slot, u32 cta_slot)
 {
     if (cfg_.mode != RegFileMode::kVirtualized)
         return;
-    for (u32 r = 0; r <= kMaxArchRegs; ++r) {
+    for (u32 r = 0; r < regsPerWarp_; ++r) {
         const u32 idx = slotIndex(warp_slot, r);
         if (state_[idx] == RegState::kMapped)
             freeMapping(warp_slot, cta_slot, r);
@@ -328,6 +329,8 @@ RegisterManager::spillReg(u32 warp_slot, u32 cta_slot, u32 reg)
     panicIf(state_[idx] != RegState::kMapped, "spill of unmapped register");
     panicIf(reg < fixedExempt_,
             "fixed-home exempt registers are never spilled");
+    if (spillStore_.empty()) // only GPU-shrink ever spills
+        spillStore_.resize(mapping_.size());
     spillStore_[idx] = file_.values(mapping_[idx]);
     freeMapping(warp_slot, cta_slot, reg);
     state_[idx] = RegState::kSpilled;
@@ -352,16 +355,6 @@ RegisterManager::refillReg(u32 warp_slot, u32 cta_slot, u32 reg)
     --spilledCount_[warp_slot];
     ++renameStats_.refills;
     return res;
-}
-
-std::vector<u32>
-RegisterManager::spilledRegs(u32 warp_slot) const
-{
-    std::vector<u32> out;
-    for (u32 r = fixedExempt_; r < regsPerWarp_; ++r)
-        if (state_[slotIndex(warp_slot, r)] == RegState::kSpilled)
-            out.push_back(r);
-    return out;
 }
 
 void

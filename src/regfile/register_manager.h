@@ -228,9 +228,6 @@ class RegisterManager {
         return spilledCount_[warpSlot] != 0;
     }
 
-    /** Spilled registers of a warp. */
-    std::vector<u32> spilledRegs(u32 warpSlot) const;
-
     // ---- Queries ---------------------------------------------------------
     u32 freeRegs() const { return file_.freeTotal(); }
     u32 ctaAllocated(u32 ctaSlot) const { return ctaAlloc_[ctaSlot]; }
@@ -302,7 +299,7 @@ class RegisterManager {
     std::vector<RegState> state_;
     std::vector<u32> spilledCount_; //!< # kSpilled regs per warp slot
     std::vector<RegLifecycle> lint_; //!< populated only when linting
-    std::vector<WarpValue> spillStore_;
+    std::vector<WarpValue> spillStore_; //!< sized on the first spill
     std::vector<u32> ctaAlloc_;  //!< registers held per CTA slot
     u32 mapped_ = 0;
     u64 allocEpoch_ = 0; //!< see allocEpoch()

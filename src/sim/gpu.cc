@@ -4,6 +4,21 @@
 
 namespace rfv {
 
+namespace {
+
+/** The watchdog error, with one state summary line per SM. */
+[[noreturn]] void
+watchdog(const std::vector<std::unique_ptr<Sm>> &sms, Cycle max_cycles)
+{
+    std::string msg = "watchdog: kernel exceeded " +
+                      std::to_string(max_cycles) + " cycles";
+    for (const auto &sm : sms)
+        msg += "\n  " + sm->debugState();
+    panic(msg);
+}
+
+} // namespace
+
 Gpu::Gpu(const GpuConfig &cfg, const Program &prog,
          const LaunchParams &launch, GlobalMemory &gmem, TraceHooks hooks,
          const DecodeCache *shared_decode)
@@ -176,8 +191,7 @@ Gpu::run()
                     // A horizon of kNoEventCycle while CTAs are
                     // resident is a deadlock: reach the watchdog the
                     // same way the naive loop would.
-                    panic("watchdog: kernel exceeded " +
-                          std::to_string(cfg_.maxCycles) + " cycles");
+                    watchdog(sms_, cfg_.maxCycles);
                 }
             }
             for (u32 i = 0; i < num_sms; ++i) {
@@ -214,10 +228,8 @@ Gpu::run()
         }
 
         ++cycle;
-        if (cycle >= cfg_.maxCycles) {
-            panic("watchdog: kernel exceeded " +
-                  std::to_string(cfg_.maxCycles) + " cycles");
-        }
+        if (cycle >= cfg_.maxCycles)
+            watchdog(sms_, cfg_.maxCycles);
     }
 
     completed = 0;

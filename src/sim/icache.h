@@ -28,9 +28,13 @@ class ICache {
   public:
     /**
      * @param totalInstrs  capacity in instructions (0 disables: every
-     *                     access hits)
+     *                     access hits); a power of two
      * @param lineInstrs   instructions per line (64-bit words; a 64 B
-     *                     line holds 8)
+     *                     line holds 8); a power of two
+     *
+     * Power-of-two geometry (GpuConfig::validate rejects anything
+     * else) turns the per-fetch line and set computations into a
+     * shift and a mask.
      */
     ICache(u32 totalInstrs, u32 lineInstrs);
 
@@ -45,8 +49,8 @@ class ICache {
             ++stats_.hits; // disabled: ideal instruction supply
             return true;
         }
-        const u32 line = pc / lineInstrs_;
-        const u32 idx = line % numLines_;
+        const u32 line = pc >> lineShift_;
+        const u32 idx = line & (numLines_ - 1);
         if (tags_[idx] == line) {
             ++stats_.hits;
             return true;
@@ -63,7 +67,7 @@ class ICache {
 
   private:
     u32 numLines_;
-    u32 lineInstrs_;
+    u32 lineShift_; //!< log2(instructions per line)
     std::vector<u32> tags_; //!< resident line address, kInvalidPc empty
     ICacheStats stats_;
 };

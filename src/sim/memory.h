@@ -6,7 +6,8 @@
 #define RFV_SIM_MEMORY_H
 
 #include <algorithm>
-#include <string>
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -26,37 +27,67 @@ namespace rfv {
  */
 class GlobalMemory {
   public:
+    /**
+     * A zeroed image of @p bytes.  Large images are mapped from the
+     * kernel, which zeroes each page on first touch: a scaled grid
+     * touches a fraction of an image sized for the full problem, and
+     * the untouched pages cost neither a memset nor resident memory.
+     */
     explicit GlobalMemory(u32 bytes);
 
-    u32 sizeBytes() const { return static_cast<u32>(words_.size()) * 4; }
+    u32 sizeBytes() const { return numWords_ * 4; }
 
-    u32 load(u32 byteAddr) const
+    u32
+    load(u32 byteAddr) const
     {
-        return words_[wordIndex(byteAddr, "load")];
+        return words_.get()[wordIndex(byteAddr, "load")];
     }
-    void store(u32 byteAddr, u32 value)
+    void
+    store(u32 byteAddr, u32 value)
     {
-        words_[wordIndex(byteAddr, "store")] = value;
+        words_.get()[wordIndex(byteAddr, "store")] = value;
     }
 
-    /** Convenience word accessors for workload setup/verification. */
-    u32 word(u32 index) const { return words_.at(index); }
-    void setWord(u32 index, u32 value) { words_.at(index) = value; }
+    /**
+     * Convenience word accessors for workload setup/verification;
+     * throw std::out_of_range past the end, as vector::at() does.
+     */
+    u32 word(u32 index) const { return words_.get()[checkedWord(index)]; }
+    void
+    setWord(u32 index, u32 value)
+    {
+        words_.get()[checkedWord(index)] = value;
+    }
 
   private:
     u32
     wordIndex(u32 byteAddr, const char *what) const
     {
-        panicIf(byteAddr % 4 != 0,
-                std::string("unaligned global ") + what);
         const u32 w = byteAddr / 4;
-        panicIf(w >= words_.size(), std::string("global ") + what +
-                                        " out of bounds at byte " +
-                                        std::to_string(byteAddr));
+        if (byteAddr % 4 != 0 || w >= numWords_) [[unlikely]]
+            badAccess(byteAddr, what);
         return w;
     }
+    u32
+    checkedWord(u32 index) const
+    {
+        if (index >= numWords_) [[unlikely]]
+            wordOutOfRange(index);
+        return index;
+    }
+    // Cold paths: the message building stays out of load/store, so
+    // they inline into the SM's lane loops.
+    [[noreturn]] void badAccess(u32 byteAddr, const char *what) const;
+    [[noreturn]] void wordOutOfRange(u32 index) const;
 
-    std::vector<u32> words_;
+    /** Returns the image to where the constructor took it from. */
+    struct Release {
+        std::size_t bytes;
+        void operator()(u32 *words) const;
+    };
+
+    u32 numWords_;
+    std::unique_ptr<u32, Release> words_;
 };
 
 /** DRAM statistics. */

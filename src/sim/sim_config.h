@@ -5,7 +5,9 @@
 #ifndef RFV_SIM_SIM_CONFIG_H
 #define RFV_SIM_SIM_CONFIG_H
 
+#include <bit>
 #include <functional>
+#include <string>
 
 #include "regfile/config.h"
 
@@ -78,14 +80,44 @@ struct GpuConfig {
 
     RegFileConfig regFile;
 
+    /**
+     * Machine-shape caps.  Each SM allocates memory in proportion to
+     * the register file and flag-cache sizes, so one request naming
+     * huge values could exhaust a daemon's memory.  The caps sit well
+     * above every configuration in use (16 SMs, a 128 KiB file, 32
+     * flag-cache entries).
+     */
+    static constexpr u32 kMaxSms = 64;
+    static constexpr u32 kMaxRegFileBytes = 1u << 20;
+    static constexpr u32 kMaxFlagCacheEntries = 1024;
+
+    /**
+     * Throws ConfigError on an impossible or oversized configuration.
+     * Runs before anything the configuration sizes is allocated.
+     */
     void
     validate() const
     {
         fatalIf(numSms == 0, "need at least one SM");
+        fatalIf(numSms > kMaxSms, "numSms " + std::to_string(numSms) +
+                                      " exceeds the cap of " +
+                                      std::to_string(kMaxSms));
+        fatalIf(regFile.sizeBytes > kMaxRegFileBytes,
+                "register file size " + std::to_string(regFile.sizeBytes) +
+                    " exceeds the cap of " +
+                    std::to_string(kMaxRegFileBytes) + " bytes");
+        fatalIf(regFile.flagCacheEntries > kMaxFlagCacheEntries,
+                "flag cache entries " +
+                    std::to_string(regFile.flagCacheEntries) +
+                    " exceed the cap of " +
+                    std::to_string(kMaxFlagCacheEntries));
         fatalIf(issuePerCycle == 0, "need issue bandwidth");
         fatalIf(readyQueueSize == 0, "ready queue cannot be empty");
         fatalIf(maxWarpsPerSm == 0 || maxCtasPerSm == 0,
                 "need warp and CTA slots");
+        fatalIf(!std::has_single_bit(icacheLineInstrs) ||
+                    (icacheInstrs & (icacheInstrs - 1)) != 0,
+                "icache capacity and line size must be powers of two");
         regFile.validate();
     }
 };

@@ -144,7 +144,9 @@ Sm::Sm(u32 sm_id, const GpuConfig &cfg, const Program &prog,
     // allocates.
     readyQueue_.reserve(effectiveReadyQueue_ + 1);
     completions_.reserve(2 * warp_slots + 8);
-    sleepHeap_.reserve(warp_slots);
+    sleepWake_.reserve(warp_slots);
+    sleepMask_.reserve(static_cast<std::size_t>(warp_slots) *
+                       wt_.maskWords());
     throttleParked_.reserve(warp_slots);
     issueOrder_.reserve(effectiveReadyQueue_ + 1);
     addrScratch_.reserve(kWarpSize);
@@ -237,9 +239,25 @@ void
 Sm::sleepWarp(u32 warp_idx)
 {
     wt_.loc(warp_idx, WarpLoc::kSleeping);
-    sleepHeap_.push_back({wt_.blockedUntil[warp_idx], warp_idx});
-    std::push_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                   std::greater<SleepEntry>{});
+    sleepUntil(wt_.blockedUntil[warp_idx], warp_idx);
+}
+
+void
+Sm::sleepUntil(Cycle wake, u32 warp_idx)
+{
+    // At most one bucket per sleeping warp: a linear search from the
+    // back, where the nearest wakes sit.
+    const u32 words = wt_.maskWords();
+    std::size_t b = sleepWake_.size();
+    while (b > 0 && sleepWake_[b - 1] < wake)
+        --b;
+    if (b > 0 && sleepWake_[b - 1] == wake) {
+        --b;
+    } else {
+        sleepWake_.insert(sleepWake_.begin() + b, wake);
+        sleepMask_.insert(sleepMask_.begin() + b * words, words, 0);
+    }
+    sleepMask_[b * words + warp_idx / 64] |= 1ull << (warp_idx % 64);
 }
 
 void
@@ -275,64 +293,69 @@ Sm::demoteWarp(u32 warp_idx)
 /**
  * Restore the invariant that every ready warp is runnable soon: warps
  * blocked kSleepThresholdCycles or more into the future move to the
- * sleep heap and freed slots refill from the pending queue, repeating
- * until stable.  Afterwards a cycle with no due completion, no due
- * sleeper and no ready warp past its blockedUntil is a provable no-op,
- * which is what makes nextEventCycle()'s window sound.
+ * sleep buckets and freed slots refill from the pending queue,
+ * repeating until stable.  Afterwards a cycle with no due completion,
+ * no due sleeper and no ready warp past its blockedUntil is a provable
+ * no-op, which is what makes nextEventCycle()'s window sound.
+ *
+ * An entry that passed the check cannot fail it later in the call
+ * (`now` and its warp's state are fixed here), so after each refill
+ * only the appended entries are scanned.
  */
 void
 Sm::normalizeReadyQueue(Cycle now)
 {
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (u32 i = 0; i < readyQueue_.size();) {
+    std::size_t i = 0;
+    while (true) {
+        while (i < readyQueue_.size()) {
             const u32 wi = readyQueue_[i];
             if (!wt_.valid(wi) || wt_.finished(wi)) {
                 readyQueue_.erase(readyQueue_.begin() + i);
                 wt_.loc(wi, WarpLoc::kNone);
-                changed = true;
-                continue;
-            }
-            if (wt_.blockedUntil[wi] > now &&
-                wt_.blockedUntil[wi] - now >= kSleepThresholdCycles) {
+            } else if (wt_.blockedUntil[wi] > now &&
+                       wt_.blockedUntil[wi] - now >=
+                           kSleepThresholdCycles) {
                 readyQueue_.erase(readyQueue_.begin() + i);
                 sleepWarp(wi);
-                changed = true;
-                continue;
+            } else {
+                ++i;
             }
-            ++i;
         }
-        const u32 before = static_cast<u32>(readyQueue_.size());
+        const std::size_t before = readyQueue_.size();
         refillReadyQueue();
-        if (readyQueue_.size() != before)
-            changed = true;
+        if (readyQueue_.size() == before)
+            return;
     }
 }
 
 void
 Sm::wakeSleepersWork(Cycle now)
 {
-    while (!sleepHeap_.empty() && sleepHeap_.front().wake <= now) {
-        std::pop_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                      std::greater<SleepEntry>{});
-        const SleepEntry e = sleepHeap_.back();
-        sleepHeap_.pop_back();
-        if (wt_.loc(e.warp) != WarpLoc::kSleeping)
-            continue; // stale entry
-        if (!wt_.valid(e.warp) || wt_.finished(e.warp)) {
-            wt_.loc(e.warp, WarpLoc::kNone);
-            continue;
+    const u32 words = wt_.maskWords();
+    while (!sleepWake_.empty() && sleepWake_.back() <= now) {
+        for (u32 w = 0; w < words; ++w) {
+            // A re-slept warp wakes after `now`, so its bucket goes in
+            // front of this one, which stays the last.
+            for (u64 m = sleepMask_[sleepMask_.size() - words + w];
+                 m != 0; m &= m - 1) {
+                const u32 wi = w * 64 + findFirstSet(m);
+                if (wt_.loc(wi) != WarpLoc::kSleeping)
+                    continue; // stale entry
+                if (!wt_.valid(wi) || wt_.finished(wi)) {
+                    wt_.loc(wi, WarpLoc::kNone);
+                    continue;
+                }
+                if (wt_.blockedUntil[wi] > now) {
+                    // The stall was extended while asleep (spill
+                    // victim): keep sleeping until the new wakeup.
+                    sleepUntil(wt_.blockedUntil[wi], wi);
+                    continue;
+                }
+                pendWarp(wi);
+            }
         }
-        if (wt_.blockedUntil[e.warp] > now) {
-            // The stall was extended while asleep (spill victim): keep
-            // sleeping until the new wakeup cycle.
-            sleepHeap_.push_back({wt_.blockedUntil[e.warp], e.warp});
-            std::push_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                          std::greater<SleepEntry>{});
-            continue;
-        }
-        pendWarp(e.warp);
+        sleepMask_.resize(sleepMask_.size() - words);
+        sleepWake_.pop_back();
     }
 }
 
@@ -1379,42 +1402,31 @@ Sm::attemptSpill(u32 stalled_warp, u32 need_bank, Cycle now)
 }
 
 std::string
-Sm::debugState(Cycle now) const
+Sm::debugState() const
 {
-    std::string out = "SM" + std::to_string(smId_) +
-                      " free=" + std::to_string(mgr_.freeRegs()) +
-                      " throttle=" +
-                      (throttleActive_ ? std::to_string(throttleCta_)
-                                       : std::string("off")) +
-                      " inflight=" + std::to_string(inFlightLoads_) + " ready=[";
-    for (u32 wi : readyQueue_)
-        out += std::to_string(wi) + " ";
-    out += "] pending=[";
-    for (std::size_t i = 0; i < pendingQueue_.size(); ++i)
-        out += std::to_string(pendingQueue_[i]) + " ";
-    out += "] sleeping=" + std::to_string(sleepHeap_.size()) +
-           " parked=" + std::to_string(throttleParked_.size()) + "\n";
+    u32 at[static_cast<u32>(WarpLoc::kParked) + 1] = {}; // per WarpLoc
+    u32 barrier = 0;
+    u32 spilled = 0;
     for (u32 wi = 0; wi < wt_.size(); ++wi) {
-        if (!wt_.valid(wi))
+        if (!wt_.valid(wi) || wt_.finished(wi))
             continue;
-        out += "  w" + std::to_string(wi) + " cta" +
-               std::to_string(wt_.ctaSlot[wi]) +
-               (wt_.finished(wi)
-                    ? " done"
-                    : " pc=" + std::to_string(wt_.stack(wi).done()
-                                                  ? kInvalidPc
-                                                  : wt_.stack(wi).pc())) +
-               (wt_.atBarrier(wi) ? " BAR" : "") +
-               " pendR=" + std::to_string(wt_.pendingRegs[wi]) +
-               " pendL=" + std::to_string(wt_.pendingLoads[wi]) +
-               " blocked=" +
-               std::to_string(wt_.blockedUntil[wi] > now
-                                  ? wt_.blockedUntil[wi] - now
-                                  : 0) +
-               " spilled=" +
-               std::to_string(mgr_.spilledRegs(wi).size()) + "\n";
+        ++at[static_cast<u32>(wt_.loc(wi))];
+        barrier += wt_.atBarrier(wi);
+        spilled += mgr_.hasSpilledRegs(wi);
     }
-    return out;
+    auto n = [&at](WarpLoc l) {
+        return std::to_string(at[static_cast<u32>(l)]);
+    };
+    return "SM" + std::to_string(smId_) + ": free=" +
+           std::to_string(mgr_.freeRegs()) + "/" +
+           std::to_string(mgr_.file().numRegs()) + " throttle=" +
+           (throttleActive_ ? "cta" + std::to_string(throttleCta_)
+                            : std::string("off")) +
+           " ready=" + n(WarpLoc::kReady) + " pending=" +
+           n(WarpLoc::kPending) + " sleeping=" + n(WarpLoc::kSleeping) +
+           " parked=" + n(WarpLoc::kParked) + " barrier=" +
+           std::to_string(barrier) + " spilled=" + std::to_string(spilled) +
+           " loads=" + std::to_string(inFlightLoads_);
 }
 
 void
@@ -1547,9 +1559,8 @@ Sm::nextEventCycle(Cycle now) const
         const Cycle at = std::max(wt_.blockedUntil[wi], now + 1);
         next = std::min(next, at);
     }
-    if (!sleepHeap_.empty())
-        next = std::min(next,
-                        std::max(sleepHeap_.front().wake, now + 1));
+    if (!sleepWake_.empty())
+        next = std::min(next, std::max(sleepWake_.back(), now + 1));
     // Defensive: a refillable pending warp or an uncommitted atomic
     // means next cycle is not provably a no-op.
     if ((!pendingQueue_.empty() &&
@@ -1581,11 +1592,9 @@ Sm::skipCycles(u64 k)
 }
 
 void
-Sm::commitAtomics(Cycle now)
+Sm::commitAtomicsWork(Cycle now)
 {
-    ScopedNs commit_t(profiling_ && !pendingAtomics_.empty()
-                          ? &prof_.commitNs
-                          : nullptr);
+    ScopedNs commit_t(profiling_ ? &prof_.commitNs : nullptr);
     for (const PendingAtomic &pa : pendingAtomics_) {
         WarpValue out{};
         for (u32 l = 0; l < kWarpSize; ++l) {

@@ -83,7 +83,7 @@ class Sm {
      * every warp is parked on an external condition).  Valid only
      * right after step()/commitAtomics() for cycle @p now (or after a
      * CTA launch at @p now): the minimum over every ready warp's
-     * wakeup cycle and the sleep-heap head.  Cycles before the
+     * wakeup cycle and the earliest sleep bucket.  Cycles before the
      * returned value are provable no-ops — every ready warp is
      * blocked past them, sleepers wake later, pending warps cannot
      * enter the full ready set, throttle/dispatch inputs are frozen,
@@ -114,7 +114,12 @@ class Sm {
      * deferral is architecturally invisible.  Callers stepping an Sm
      * directly must invoke this after each step().
      */
-    void commitAtomics(Cycle now);
+    void
+    commitAtomics(Cycle now)
+    {
+        if (!pendingAtomics_.empty())
+            commitAtomicsWork(now);
+    }
 
     const SmStats &stats() const { return stats_; }
     RegisterManager &regs() { return mgr_; }
@@ -127,8 +132,13 @@ class Sm {
     /** Resident (valid) warps right now. */
     u32 residentWarps() const;
 
-    /** Human-readable scheduler/warp state (deadlock diagnosis). */
-    std::string debugState(Cycle now) const;
+    /**
+     * One-line scheduler and register summary for deadlock diagnosis
+     * (the Gpu appends one per SM to its watchdog error): free
+     * registers, throttle, resident warps by container, warps at a
+     * barrier and warps with spilled registers.
+     */
+    std::string debugState() const;
 
   private:
     struct CtaSlot {
@@ -176,17 +186,6 @@ class Sm {
 
     enum class IssueOutcome : u8 { kIssued, kSkipped, kDemoted, kParked };
 
-    /** Sleep-heap entry: (wakeup cycle, warp index) min-heap order. */
-    struct SleepEntry {
-        Cycle wake;
-        u32 warp;
-        bool
-        operator>(const SleepEntry &o) const
-        {
-            return wake != o.wake ? wake > o.wake : warp > o.warp;
-        }
-    };
-
     /** One atomic op awaiting the end-of-cycle commit. */
     struct PendingAtomic {
         u32 warpIdx;
@@ -211,7 +210,7 @@ class Sm {
     void
     wakeSleepers(Cycle now)
     {
-        if (!sleepHeap_.empty() && sleepHeap_.front().wake <= now)
+        if (!sleepWake_.empty() && sleepWake_.back() <= now)
             wakeSleepersWork(now);
     }
     void wakeSleepersWork(Cycle now);
@@ -238,6 +237,8 @@ class Sm {
     void demoteWarp(u32 warpIdx);
     void pendWarp(u32 warpIdx);
     void sleepWarp(u32 warpIdx);
+    void sleepUntil(Cycle wake, u32 warpIdx);
+    void commitAtomicsWork(Cycle now);
     void removeFromReady(u32 warpIdx);
     void
     refillReadyQueue()
@@ -297,7 +298,7 @@ class Sm {
 
     /**
      * Ready warps blocked at least this far in the future are moved to
-     * the sleep heap instead of spinning in the active set.  Short ALU
+     * a sleep bucket instead of spinning in the active set.  Short ALU
      * stalls (4-6 cycles) stay ready — preserving the two-level
      * scheduler's character — and are covered by nextEventCycle()'s
      * min-over-ready term, so quiescent windows remain skippable.
@@ -342,8 +343,18 @@ class Sm {
      */
     std::vector<Cycle> loadHeap_;
 
-    /** Min-heap of (wake cycle, warp) for long-blocked warps. */
-    std::vector<SleepEntry> sleepHeap_;
+    /**
+     * Long-blocked warps, bucketed by wake cycle.  sleepWake_ holds
+     * the distinct wake cycles in descending order (the earliest at
+     * the back); sleepMask_ holds each bucket's warp mask,
+     * WarpTable::maskWords() words per bucket, in the same order.
+     * Waking pops the earliest bucket and visits its warps in
+     * ascending index: the (wake, warp) order of a min-heap.  A
+     * duplicate (wake, warp) entry merges into one bit, which is
+     * equivalent: a heap's second pop of it is always stale.
+     */
+    std::vector<Cycle> sleepWake_;
+    std::vector<u64> sleepMask_;
 
     /** Warps parked by the CTA throttle until its signature changes. */
     std::vector<u32> throttleParked_;

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "compiler/pipeline.h"
 #include "isa/builder.h"
 #include "sim/gpu.h"
@@ -106,6 +109,19 @@ TEST(Memory, CoalescingCountsSegments)
         strided.push_back(l * 128);
     EXPECT_EQ(coalescedTransactions(strided), 32u);
     EXPECT_EQ(coalescedTransactions({}), 0u);
+
+    // Lane orders that step back to an earlier segment take the
+    // sort + unique path and must count the same segments.
+    const std::vector<u32> reversed(seq.rbegin(), seq.rend());
+    EXPECT_EQ(coalescedTransactions(reversed), 1u);
+    const std::vector<u32> reversedStrided(strided.rbegin(),
+                                           strided.rend());
+    EXPECT_EQ(coalescedTransactions(reversedStrided), 32u);
+    std::vector<u32> interleaved; // segments 0, 3, 0, 3, ...
+    for (u32 l = 0; l < 32; ++l)
+        interleaved.push_back((l % 2) * 384 + l * 4);
+    EXPECT_EQ(coalescedTransactions(interleaved), 2u);
+    EXPECT_EQ(coalescedTransactions({0, 4, 128, 132, 4, 256}), 3u);
 }
 
 TEST(Memory, DramQueueingDelaysBursts)
@@ -125,6 +141,43 @@ TEST(Memory, OutOfBoundsPanics)
     EXPECT_THROW(mem.load(64), InternalError);
     EXPECT_THROW(mem.store(1000, 1), InternalError);
     EXPECT_THROW(mem.load(2), InternalError); // unaligned
+    EXPECT_THROW(mem.word(16), std::out_of_range);
+    EXPECT_THROW(mem.setWord(16, 1), std::out_of_range);
+
+    // A multi-MiB image (zeroed lazily) reads zero at both ends and in
+    // the middle, and keeps its bounds.
+    const u32 bytes = 6u << 20;
+    GlobalMemory big(bytes);
+    EXPECT_EQ(big.sizeBytes(), bytes);
+    for (u32 w : {0u, bytes / 8, bytes / 4 - 1}) {
+        EXPECT_EQ(big.word(w), 0u) << w;
+        EXPECT_EQ(big.load(w * 4), 0u) << w;
+    }
+    big.setWord(bytes / 4 - 1, 7);
+    EXPECT_EQ(big.load(bytes - 4), 7u);
+    EXPECT_THROW(big.load(bytes), InternalError);
+    EXPECT_THROW(big.word(bytes / 4), std::out_of_range);
+}
+
+TEST(Config, MachineShapeIsCapped)
+{
+    // Oversized shapes are configuration errors, raised before any SM
+    // allocates the memory they would size.
+    GpuConfig ok;
+    ok.numSms = GpuConfig::kMaxSms;
+    ok.regFile.sizeBytes = GpuConfig::kMaxRegFileBytes;
+    ok.regFile.flagCacheEntries = GpuConfig::kMaxFlagCacheEntries;
+    EXPECT_NO_THROW(ok.validate());
+
+    GpuConfig sms;
+    sms.numSms = 100000;
+    EXPECT_THROW(sms.validate(), ConfigError);
+    GpuConfig rf;
+    rf.regFile.sizeBytes = 4294966784u; // divides into 4 banks
+    EXPECT_THROW(rf.validate(), ConfigError);
+    GpuConfig flags;
+    flags.regFile.flagCacheEntries = 4000000000u;
+    EXPECT_THROW(flags.validate(), ConfigError);
 }
 
 // ---- End-to-end kernels ----------------------------------------------------
@@ -578,11 +631,24 @@ TEST(EndToEnd, WatchdogFiresOnInfiniteLoop)
     GlobalMemory mem(64);
     LaunchParams launch;
     GpuConfig cfg = testConfig(RegFileMode::kBaseline);
+    cfg.numSms = 2;
     cfg.maxCycles = 5000;
     CompileOptions copts;
     const auto ck = compileKernel(p, copts);
     Gpu gpu(cfg, ck.program, launch, mem);
-    EXPECT_THROW(gpu.run(), InternalError);
+    try {
+        gpu.run();
+        FAIL() << "the watchdog did not fire";
+    } catch (const InternalError &e) {
+        // One state summary per SM; SM1 never received a CTA.
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("\n  SM0: free="), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\n  SM1: free=1024/1024 throttle=off ready=0 "
+                           "pending=0 sleeping=0 parked=0 barrier=0 "
+                           "spilled=0 loads=0"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 } // namespace

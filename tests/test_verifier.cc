@@ -546,6 +546,24 @@ TEST(VerifierDiagnostics, FootprintExceedsArchLimit)
     EXPECT_TRUE(hasKind(r, VerifyKind::kBadEncoding));
 }
 
+TEST(VerifierDiagnostics, ErrorSummaryPutsErrorsFirst)
+{
+    // Warnings precede the error in program order; the summary leads
+    // with the error and only counts the warnings.
+    VerifyResult r;
+    for (u32 pc : {1u, 2u})
+        r.diags.push_back({VerifyKind::kLeakedRegister,
+                           VerifySeverity::kWarning, pc, 3, "leak"});
+    r.diags.push_back({VerifyKind::kSimtUnsafeRelease,
+                       VerifySeverity::kError, 7, 4, "live sibling"});
+    r.numWarnings = 2;
+    r.numErrors = 1;
+    EXPECT_EQ(r.errorSummary(),
+              "error[simt-unsafe-release] pc 7 r4: live sibling\n"
+              "2 warning(s)");
+    EXPECT_EQ(VerifyResult{}.errorSummary(), "0 warning(s)");
+}
+
 // --- Layer 3: nested reconvergence + runtime lint -----------------------
 
 /** if (tid < 16) { if (tid < 8) { last use of a } } — the value `a`
